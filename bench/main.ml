@@ -351,8 +351,8 @@ let write_json ~name fields =
    per-iteration speedup over the reference solver.
 
    With [gate] set (scale-smoke, run from CI) three acceptance checks
-   become hard failures: the kernel must agree with {!Lla.Solver}
-   element-wise within 1e-9 under the shared default config, a
+   become hard failures: the kernel's lat, mu and lambda must be
+   bit-identical to {!Lla.Solver}'s under the shared default config, a
    steady-state kernel tick must run at least 20x faster than a solver
    iteration, and a tick must allocate zero minor words. *)
 let scale_bench ~name ~subtasks ~gate () =
@@ -477,18 +477,26 @@ let scale_bench ~name ~subtasks ~gate () =
       match Lla_scale.Kernel.create workload with Ok k -> k | Error e -> failwith e
     in
     Lla_scale.Kernel.run k2 ~iterations:agree_iters;
-    let kernel_lat = Lla_scale.Kernel.lat_array k2 in
-    let solver_lat = Lla.Solver.lat_array s2 in
-    let worst = ref 0. in
-    Array.iteri
-      (fun i expect ->
-        let d = Float.abs (kernel_lat.(i) -. expect) /. Float.max 1. (Float.abs expect) in
-        if d > !worst then worst := d)
-      solver_lat;
-    Printf.printf "  agreement    %8.1e worst relative latency gap vs solver after %d ticks\n"
-      !worst agree_iters;
-    if !worst > 1e-9 then begin
-      Printf.printf "  FAIL: kernel diverges from the reference solver (tolerance 1e-9)\n";
+    (* count the components whose bits differ: the kernel runs the
+       solver's float operations in the solver's order, so the gate is
+       exact *)
+    let differing kernel solver =
+      let n = ref 0 in
+      Array.iteri
+        (fun i x ->
+          if not (Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float solver.(i))) then incr n)
+        kernel;
+      !n
+    in
+    let gaps =
+      differing (Lla_scale.Kernel.lat_array k2) (Lla.Solver.lat_array s2)
+      + differing (Lla_scale.Kernel.mu_array k2) (Lla.Solver.mu_array s2)
+      + differing (Lla_scale.Kernel.lambda_array k2) (Lla.Solver.lambda_array s2)
+    in
+    Printf.printf "  agreement    %8d lat/mu/lambda components differ from the solver after %d ticks\n"
+      gaps agree_iters;
+    if gaps > 0 then begin
+      Printf.printf "  FAIL: kernel diverges from the reference solver (gate: bit-identical)\n";
       failed := true
     end;
     if speedup < 20. then begin

@@ -104,6 +104,7 @@ type t = {
   mu : float array;
   cap : float array;  (* capacities, snapshot at construction *)
   share_sum : float array;  (* cache: share sum as of the last tick *)
+  res_share : float array;  (* share sums summed by a dense tick's sweep *)
   congested : bool array;
   gamma_r : float array;
   rs_off : int array;  (* resource -> subtask indices (ascending; CSR) *)
@@ -143,10 +144,11 @@ type t = {
   (* dirty-set queues. An id is in the queue for tick [k] iff its mark
      equals [k]; resources and paths use two buffers (the current tick's
      queue is scanned while the next tick's fills), subtasks one (their
-     queue is drained before any push for the next tick happens). The
-     [*_dirty] stamps are finer than queue membership: they record that
-     the cached sum itself must be recomputed this tick, not merely that
-     the price update must run. *)
+     queue is drained before any push for the next tick happens; a dense
+     tick reads only the marks, see [alloc_pass]). The [*_dirty] stamps
+     are finer than queue membership: they record that the cached sum
+     itself must be recomputed this tick, not merely that the price
+     update must run. *)
   sub_q : int array;
   mutable sub_count : int;
   sub_mark : int array;
@@ -163,6 +165,7 @@ type t = {
   path_mark : int array;
   path_dirty : int array;
   (* tick bookkeeping *)
+  mutable dense : bool;  (* this tick's alloc_pass swept, see [sweeps] *)
   mutable tick : int;
   mutable guards : int;
   scratch : float array;  (* 0: running sum, 1: movement of the last tick *)
@@ -184,8 +187,9 @@ type t = {
 (* ------------------------------------------------------------------ *)
 
 (* The passes use unchecked array access: every index they dereference is
-   either a CSR entry or a queue element, and both are validated by
-   construction — [csr_of] only stores ids below the family's length,
+   a subtask id below [n_sub], a CSR or [sub_res] entry, or a queue
+   element, all validated by construction — [Problem.compile] checks
+   resource indices, [csr_of] only stores ids below the family's length,
    queue counts never exceed the family's length because the mark arrays
    dedup every push. Bounds checks would cost ~30% of the tick on these
    loops and can never fire. *)
@@ -199,71 +203,128 @@ external ug : 'a array -> int -> 'a = "%array_unsafe_get"
 
 external us : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
 
-(* Closed-form allocation (Allocation.closed_form at offset 0) for every
-   queued subtask; queues the resources and paths whose sums changed. *)
+(* Queue density at which [alloc_pass] switches from draining the
+   subtask queue to sweeping every subtask id: a tick sweeps when at
+   least 1/[sweep_den] of the subtasks are queued. Measured per tick
+   (best of 3, both drains forced over the same bit-identical
+   trajectory, cold solve plus 200-400 settled ticks, scale_config,
+   seed 42), the sweep overtakes the drain at ~13% density on the 10^5
+   scenario (below 5% on its held-out seed 7) and at 15-50% on 10^4 to
+   5e4. Summed over a run, the 1/8 rule stays within 4% of picking the
+   faster drain tick by tick at every size from 600 to 10^5 subtasks,
+   where always sweeping costs 18% more than that at 600 and always
+   draining 2.1x more at 10^5. *)
+let sweep_den = 8
+
+let sweeps ~queued ~total = queued * sweep_den >= total
+
+(* Closed-form allocation (Allocation.closed_form at offset 0) for one
+   subtask [i] queued for [tick]; queues the resources and paths whose
+   sums its move staled. Shared by the sweep and the drain below; its
+   arguments are all immediate, so even an out-of-line call boxes
+   nothing. *)
+let[@inline] alloc_one t tick i =
+  let mu_r = ug t.mu (ug t.sub_res i) in
+  let start = ug t.sp_off i in
+  let stop = ug t.sp_off (i + 1) - 1 in
+  us t.scratch 0 0.;
+  for e = start to stop do
+    us t.scratch 0 (ug t.scratch 0 +. ug t.lambda (ug t.sp_idx e))
+  done;
+  let pressure = ug t.press0 i +. ug t.scratch 0 in
+  let lo = ug t.lo_b i and hi = ug t.hi_b i in
+  let cand =
+    if mu_r <= 0. then if pressure > 0. then lo else hi
+    else if pressure <= 0. then hi
+    else begin
+      let x = sqrt (mu_r *. ug t.work i /. pressure) in
+      let a = if lo >= x then lo else x in
+      if hi <= a then hi else a
+    end
+  in
+  let old = ug t.lat i in
+  let lat' =
+    if cand -. cand = 0. then cand
+    else begin
+      (* Allocation.sanitize: keep the last finite latency, else the
+         conservative upper bound. *)
+      t.guards <- t.guards + 1;
+      if old -. old = 0. then old else hi
+    end
+  in
+  if lat' <> old then begin
+    us t.lat i lat';
+    let denom = if lat' >= 1e-9 then lat' else 1e-9 in
+    let m = Float.abs (lat' -. old) /. denom in
+    if m > ug t.scratch 1 then us t.scratch 1 m;
+    (* the share on i's resource and the latency of i's paths moved *)
+    let r = ug t.sub_res i in
+    us t.res_dirty r tick;
+    if ug t.res_mark r <> tick then begin
+      us t.res_mark r tick;
+      us t.res_q t.res_count r;
+      t.res_count <- t.res_count + 1
+    end;
+    for e = start to stop do
+      let p = ug t.sp_idx e in
+      us t.path_dirty p tick;
+      if ug t.path_mark p <> tick then begin
+        us t.path_mark p tick;
+        us t.path_q t.path_count p;
+        t.path_count <- t.path_count + 1
+      end
+    done
+  end
+
+(* The subtask queue is drained one of two ways, chosen per tick by its
+   density (see [sweeps]):
+   - dense: one ascending sweep over every subtask id. A subtask marked
+     for this tick gets Eq. 7; every subtask, marked or not, adds its
+     share [w / max w lat] into [res_share] of its resource, which
+     [resource_pass] then reads for its dirty resources in place of the
+     gather through [rs_idx]. Every per-subtask array streams in
+     order instead of being read at the queue's scattered positions.
+   - sparse: the queue in push order, as the price passes filled it;
+     [resource_pass] gathers the share sums of dirty resources.
+   Both give bit-identical iterates. No update within a pass reads a
+   cell that pass writes (a subtask's Eq. 7 reads prices and its own
+   coefficients, and its share reads only its own latency, final once
+   the sweep has passed it), so the visiting order cannot change a
+   value; and [Problem.by_resource] is ascending, so the sweep adds each
+   resource's shares in exactly the order of the old gather, starting
+   from the same 0. Only queue orders differ, and no pass reads a
+   value that depends on the order it visits its queue.
+   In safe-mode dwell ([frozen]) every latency is held at the clamped
+   fallback, so Eq. 7 is skipped on either path; a dense tick still sums
+   the shares. The price passes keep running on the frozen (feasible)
+   allocation, which lets mu/lambda integrate their now-nonnegative
+   slack back toward rest. *)
 let alloc_pass t =
   let tick = t.tick in
   let n = t.sub_count in
   t.scratch.(1) <- 0.;
-  (* safe-mode dwell: every latency is held at the clamped fallback, so
-     the pass reduces to draining the queue. The price passes keep
-     running on the frozen (feasible) allocation, which lets mu/lambda
-     integrate their now-nonnegative slack back toward rest. *)
-  if not t.frozen then
-  for k = 0 to n - 1 do
-    let i = ug t.sub_q k in
-    let mu_r = ug t.mu (ug t.sub_res i) in
-    let start = ug t.sp_off i in
-    let stop = ug t.sp_off (i + 1) - 1 in
-    us t.scratch 0 0.;
-    for e = start to stop do
-      us t.scratch 0 (ug t.scratch 0 +. ug t.lambda (ug t.sp_idx e))
-    done;
-    let pressure = ug t.press0 i +. ug t.scratch 0 in
-    let lo = ug t.lo_b i and hi = ug t.hi_b i in
-    let cand =
-      if mu_r <= 0. then if pressure > 0. then lo else hi
-      else if pressure <= 0. then hi
-      else begin
-        let x = sqrt (mu_r *. ug t.work i /. pressure) in
-        let a = if lo >= x then lo else x in
-        if hi <= a then hi else a
-      end
-    in
-    let old = ug t.lat i in
-    let lat' =
-      if cand -. cand = 0. then cand
-      else begin
-        (* Allocation.sanitize: keep the last finite latency, else the
-           conservative upper bound. *)
-        t.guards <- t.guards + 1;
-        if old -. old = 0. then old else hi
-      end
-    in
-    if lat' <> old then begin
-      us t.lat i lat';
-      let denom = if lat' >= 1e-9 then lat' else 1e-9 in
-      let m = Float.abs (lat' -. old) /. denom in
-      if m > ug t.scratch 1 then us t.scratch 1 m;
-      (* the share on i's resource and the latency of i's paths moved *)
+  let frozen = t.frozen in
+  if sweeps ~queued:n ~total:t.n_sub then begin
+    t.dense <- true;
+    let share = t.res_share in
+    Array.fill share 0 t.n_res 0.;
+    for i = 0 to t.n_sub - 1 do
+      if (not frozen) && ug t.sub_mark i = tick then alloc_one t tick i;
+      let w = ug t.work i in
+      let l = ug t.lat i in
+      (* effective_share at offset 0: w / max lat_min lat *)
+      let arg = if w >= l then w else l in
       let r = ug t.sub_res i in
-      us t.res_dirty r tick;
-      if ug t.res_mark r <> tick then begin
-        us t.res_mark r tick;
-        us t.res_q t.res_count r;
-        t.res_count <- t.res_count + 1
-      end;
-      for e = start to stop do
-        let p = ug t.sp_idx e in
-        us t.path_dirty p tick;
-        if ug t.path_mark p <> tick then begin
-          us t.path_mark p tick;
-          us t.path_q t.path_count p;
-          t.path_count <- t.path_count + 1
-        end
+      us share r (ug share r +. (w /. arg))
+    done
+  end
+  else begin
+    t.dense <- false;
+    if not frozen then
+      for k = 0 to n - 1 do
+        alloc_one t tick (ug t.sub_q k)
       done
-    end
-  done;
+  end;
   t.touch_sub <- n;
   t.sub_count <- 0
 
@@ -285,18 +346,20 @@ let resource_pass t =
     let rs_stop = ug t.rs_off (r + 1) - 1 in
     let used =
       if ug t.res_dirty r = tick then begin
-        us t.scratch 0 0.;
-        for e = rs_start to rs_stop do
-          let i = ug t.rs_idx e in
-          let w = ug t.work i in
-          let l = ug t.lat i in
-          (* effective_share at offset 0: w / max lat_min lat *)
-          let arg = if w >= l then w else l in
-          us t.scratch 0 (ug t.scratch 0 +. (w /. arg))
-        done;
-        let s = ug t.scratch 0 in
-        us t.share_sum r s;
-        s
+        if t.dense then us t.share_sum r (ug t.res_share r)
+        else begin
+          us t.scratch 0 0.;
+          for e = rs_start to rs_stop do
+            let i = ug t.rs_idx e in
+            let w = ug t.work i in
+            let l = ug t.lat i in
+            (* effective_share at offset 0: w / max lat_min lat *)
+            let arg = if w >= l then w else l in
+            us t.scratch 0 (ug t.scratch 0 +. (w /. arg))
+          done;
+          us t.share_sum r (ug t.scratch 0)
+        end;
+        ug t.share_sum r
       end
       else ug t.share_sum r
     in
@@ -570,6 +633,7 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
         mu = Array.make n_res config.mu0;
         cap = Array.copy problem.P.capacities;
         share_sum = Array.make n_res 0.;
+        res_share = Array.make n_res 0.;
         congested = Array.make n_res false;
         gamma_r = Array.make n_res g_init_r;
         rs_off;
@@ -617,6 +681,7 @@ let of_problem ?obs ?(config = default_config) (problem : P.t) =
         path_count2 = 0;
         path_mark = Array.make n_path 0;
         path_dirty = Array.make n_path 0;
+        dense = false;
         tick = 0;
         guards = 0;
         scratch = Array.make 2 0.;
@@ -1069,6 +1134,8 @@ let last_touch t =
     resources_total = t.n_res;
     paths_total = t.n_path;
   }
+
+let swept (s : touch_stats) = sweeps ~queued:s.subtasks_touched ~total:s.subtasks_total
 
 let cumulative_touch t =
   {

@@ -17,8 +17,8 @@
     reference update is the identity (and symmetrically for paths and
     subtasks). The kernel therefore produces {b bit-identical iterates}
     to {!Lla.Solver} on any problem both accept; the suite checks
-    element-wise agreement within 1e-9 on random scenarios. See DESIGN
-    §11 for the full equivalence argument.
+    bitwise element-wise equality on random scenarios. See DESIGN §11
+    for the full equivalence argument.
 
     Scope: the kernel requires the closed-form allocation structure —
     every task utility linear (constant slope) and every share function
@@ -166,6 +166,12 @@ type touch_stats = {
     the sparsity the dirty sets buy. *)
 
 val last_touch : t -> touch_stats
+
+val swept : touch_stats -> bool
+(** [swept (last_touch t)] is whether the last tick drained its subtask
+    queue by the dense ascending sweep rather than in queue order. The
+    choice depends on the queue's density alone and never on a value:
+    both drains produce bit-identical iterates (DESIGN §11). *)
 
 val cumulative_touch : t -> touch_stats
 

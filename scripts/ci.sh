@@ -63,8 +63,8 @@ echo "ci: $total tests run (floor $floor)"
   --out _build/chaos-repro-domains
 
 # Scale-tier smoke: a seeded 10^4-subtask generated scenario must solve
-# to Eq. 3/4 feasibility in the flat-array kernel, agree element-wise
-# with the reference solver after 30 ticks, tick without allocating,
+# to Eq. 3/4 feasibility in the flat-array kernel, match the reference
+# solver's lat/mu/lambda bit for bit after 30 ticks, tick without allocating,
 # and run >= 20x the solver's per-iteration speed (best-of batches, so
 # box jitter does not flake the gate).
 ./_build/default/bench/main.exe --json _build scale-smoke

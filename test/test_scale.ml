@@ -92,21 +92,29 @@ let prop_generator_schedulable =
 (* Kernel equivalence with the reference solver                        *)
 (* ------------------------------------------------------------------ *)
 
-let agree ~label ~tolerance a b =
+(* Bitwise: the kernel runs the solver's float operations in the solver's
+   order, so any difference at all is a bug, not rounding. *)
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let agree ~label a b =
   if Array.length a <> Array.length b then
     QCheck.Test.fail_reportf "%s: length %d vs %d" label (Array.length a) (Array.length b);
   Array.iteri
     (fun i x ->
       let y = b.(i) in
-      let scale = Float.max 1. (Float.max (Float.abs x) (Float.abs y)) in
-      if not (Float.abs (x -. y) <= tolerance *. scale) then
+      if not (same_bits x y) then
         QCheck.Test.fail_reportf "%s[%d]: kernel %.17g vs solver %.17g" label i x y)
     a;
   true
 
+let agree_with_solver kernel solver =
+  agree ~label:"lat" (Kernel.lat_array kernel) (Solver.lat_array solver)
+  && agree ~label:"mu" (Kernel.mu_array kernel) (Solver.mu_array solver)
+  && agree ~label:"lambda" (Kernel.lambda_array kernel) (Solver.lambda_array solver)
+
 let prop_kernel_matches_solver =
   QCheck.Test.make
-    ~name:"kernel: lat/mu/lambda match Solver within 1e-9 (adaptive steps)" ~count:20
+    ~name:"kernel: lat/mu/lambda match Solver with bitwise equality (adaptive steps)" ~count:20
     QCheck.(int_range 1 1_000_000)
     (fun seed ->
       let w = Generator.generate ~params:(small_params seed) ~seed () in
@@ -115,10 +123,7 @@ let prop_kernel_matches_solver =
       let iterations = 60 + (seed mod 80) in
       Solver.run solver ~iterations;
       Kernel.run kernel ~iterations;
-      agree ~label:"lat" ~tolerance:1e-9 (Kernel.lat_array kernel) (Solver.lat_array solver)
-      && agree ~label:"mu" ~tolerance:1e-9 (Kernel.mu_array kernel) (Solver.mu_array solver)
-      && agree ~label:"lambda" ~tolerance:1e-9 (Kernel.lambda_array kernel)
-           (Solver.lambda_array solver))
+      agree_with_solver kernel solver)
 
 let prop_kernel_matches_solver_fixed_step =
   QCheck.Test.make ~name:"kernel: matches Solver under a fixed step policy" ~count:10
@@ -134,10 +139,7 @@ let prop_kernel_matches_solver_fixed_step =
       in
       Solver.run solver ~iterations:100;
       Kernel.run kernel ~iterations:100;
-      agree ~label:"lat" ~tolerance:1e-9 (Kernel.lat_array kernel) (Solver.lat_array solver)
-      && agree ~label:"mu" ~tolerance:1e-9 (Kernel.mu_array kernel) (Solver.mu_array solver)
-      && agree ~label:"lambda" ~tolerance:1e-9 (Kernel.lambda_array kernel)
-           (Solver.lambda_array solver))
+      agree_with_solver kernel solver)
 
 let prop_kernel_matches_solver_split_step =
   (* scale_config's Split policy (resources escalated, paths on the small
@@ -160,10 +162,7 @@ let prop_kernel_matches_solver_split_step =
       in
       Solver.run solver ~iterations:100;
       Kernel.run kernel ~iterations:100;
-      agree ~label:"lat" ~tolerance:1e-9 (Kernel.lat_array kernel) (Solver.lat_array solver)
-      && agree ~label:"mu" ~tolerance:1e-9 (Kernel.mu_array kernel) (Solver.mu_array solver)
-      && agree ~label:"lambda" ~tolerance:1e-9 (Kernel.lambda_array kernel)
-           (Solver.lambda_array solver))
+      agree_with_solver kernel solver)
 
 let test_kernel_movement_matches () =
   (* movement drives Kernel.solve's convergence; it must agree with the
@@ -178,10 +177,65 @@ let test_kernel_movement_matches () =
       let ys = Lla_stdx.Series.ys (Solver.movement_series solver) in
       ys.(Array.length ys - 1)
     in
-    if Float.abs (Kernel.movement kernel -. expected) > 1e-9 then
+    if not (same_bits (Kernel.movement kernel) expected) then
       Alcotest.failf "tick %d: movement %.17g vs solver %.17g" i (Kernel.movement kernel)
         expected
   done
+
+let test_kernel_drains_agree_under_churn () =
+  (* The kernel drains a sparse subtask queue in push order and a dense
+     one by an ascending sweep. A twin that requeues everything before
+     each tick takes the sweep every time, with every resource and path
+     dirty too; under identical churn its iterate must stay bitwise equal
+     to the kernel that chose its drain per tick. *)
+  let w = Generator.generate ~params:(Generator.sized ~subtasks:5_000 ()) ~seed:42 () in
+  let a = kernel_exn ~config:Kernel.scale_config w in
+  let b = kernel_exn ~config:Kernel.scale_config w in
+  let rng = Random.State.make [| 42 |] in
+  let n_task = Kernel.n_tasks a and n_sub = Kernel.n_subtasks a in
+  let sparse = ref 0 and dense = ref 0 in
+  let same label x y =
+    Array.iteri
+      (fun i v ->
+        if not (same_bits v y.(i)) then
+          Alcotest.failf "tick %d: %s[%d] %.17g vs requeued twin %.17g" (Kernel.iteration a) label
+            i v y.(i))
+      x
+  in
+  (* the cold transient sweeps; the settled stretch (~tick 280 on) drains
+     sparsely until retire/admit churn from tick 400 re-densifies it *)
+  for tick = 1 to 700 do
+    if tick >= 400 && tick mod 100 = 0 then begin
+      let k = Random.State.int rng n_task in
+      let churn kernel =
+        if Kernel.task_active kernel k then Kernel.retire_task kernel k
+        else Kernel.admit_task kernel k
+      in
+      churn a;
+      churn b
+    end;
+    if tick mod 50 = 25 then begin
+      let i = Random.State.int rng n_sub in
+      let delta = Random.State.float rng 200. -. 100. in
+      Kernel.disturb_latency a i delta;
+      Kernel.disturb_latency b i delta
+    end;
+    Kernel.requeue_all b;
+    Kernel.step a;
+    Kernel.step b;
+    if Kernel.swept (Kernel.last_touch a) then incr dense else incr sparse;
+    same "lat" (Kernel.lat_array a) (Kernel.lat_array b);
+    same "mu" (Kernel.mu_array a) (Kernel.mu_array b);
+    same "lambda" (Kernel.lambda_array a) (Kernel.lambda_array b);
+    if not (same_bits (Kernel.movement a) (Kernel.movement b)) then
+      Alcotest.failf "tick %d: movement %.17g vs requeued twin %.17g" tick (Kernel.movement a)
+        (Kernel.movement b);
+    if Kernel.guard_events a <> Kernel.guard_events b then
+      Alcotest.failf "tick %d: %d guard events vs requeued twin %d" tick (Kernel.guard_events a)
+        (Kernel.guard_events b)
+  done;
+  if !sparse = 0 || !dense = 0 then
+    Alcotest.failf "drain paths not both exercised: %d sparse and %d dense ticks" !sparse !dense
 
 let test_kernel_rejects_nonlinear () =
   let critical_time = 120. in
@@ -251,7 +305,7 @@ let test_kernel_solves_and_sparsifies () =
 
 let test_kernel_tick_zero_alloc () =
   let w = Generator.generate ~params:(Generator.sized ~subtasks:1_000 ()) ~seed:9 () in
-  let kernel = kernel_exn w in
+  let kernel = kernel_exn ~config:Kernel.scale_config w in
   Kernel.run kernel ~iterations:5 (* warm up: queues populated, caches filled *);
   (* [Gc.minor_words ()] itself allocates its boxed float result, so
      measure the delta of an empty probe and require the delta across N
@@ -264,7 +318,29 @@ let test_kernel_tick_zero_alloc () =
   let empty = probe 0 in
   let hundred = probe 100 in
   if hundred <> empty then
-    Alcotest.failf "kernel tick allocates: %.0f minor words over 100 ticks" (hundred -. empty)
+    Alcotest.failf "kernel tick allocates: %.0f minor words over 100 ticks" (hundred -. empty);
+  (* One-tick windows, each classified by its drain after the window
+     closes ([last_touch] allocates its record). [requeue_all] before a
+     tick makes its queue full, so it sweeps; the settled stretch of the
+     trajectory drains sparsely; a frozen requeued tick takes the sweep
+     that sums shares without Eq. 7. *)
+  let sparse = ref 0 and dense = ref 0 in
+  let one_tick () =
+    let words = probe 1 in
+    if words <> empty then
+      Alcotest.failf "tick %d allocates %.0f minor words" (Kernel.iteration kernel) (words -. empty);
+    if Kernel.swept (Kernel.last_touch kernel) then incr dense else incr sparse
+  in
+  Kernel.requeue_all kernel;
+  for _ = 1 to 300 do
+    one_tick ()
+  done;
+  Kernel.set_frozen kernel true;
+  Kernel.requeue_all kernel;
+  one_tick ();
+  Kernel.set_frozen kernel false;
+  if !sparse = 0 || !dense = 0 then
+    Alcotest.failf "measured ticks miss a drain: %d sparse and %d dense" !sparse !dense
 
 let test_kernel_profiled_run () =
   (* with obs attached, the per-phase totals must cover every tick *)
@@ -303,6 +379,8 @@ let () =
           qcheck prop_kernel_matches_solver_fixed_step;
           qcheck prop_kernel_matches_solver_split_step;
           Alcotest.test_case "movement matches the solver" `Quick test_kernel_movement_matches;
+          Alcotest.test_case "sparse and dense drains agree under churn" `Quick
+            test_kernel_drains_agree_under_churn;
           Alcotest.test_case "rejects non-linear utilities" `Quick test_kernel_rejects_nonlinear;
           Alcotest.test_case "solves and sparsifies at 2k subtasks" `Quick
             test_kernel_solves_and_sparsifies;
